@@ -8,11 +8,13 @@
 //! 7-day timeout, and reports one of the paper's three outcomes: a
 //! counterexample (attack), an unbounded proof, or a timeout.
 //!
-//! Two execution modes share identical verdict semantics
-//! ([`ExecMode`]): the classic sequential pipeline (BMC → Houdini →
-//! k-induction → PDR, each inheriting the remaining wall clock) and the
-//! portfolio mode of [`crate::portfolio`], which races the same engines
-//! on threads and cancels the losers as soon as one lane is decisive.
+//! Every check builds one ordered lane list — extra lanes (fuzzing), BMC,
+//! Houdini, k-induction, PDR — and hands it to one of the two schedulers
+//! of [`crate::portfolio`], chosen by [`ExecMode`]: `serial` runs the
+//! lanes in order, each inheriting the remaining wall clock, and `race`
+//! runs them on threads and cancels the losers as soon as one lane is
+//! decisive. One merge turns either scheduler's lane results into the
+//! [`CheckReport`], so the two modes share their verdict semantics.
 
 use std::time::{Duration, Instant};
 
@@ -20,21 +22,18 @@ use csl_hdl::xform::PassStats;
 use csl_hdl::Aig;
 use csl_sat::Budget;
 
-use crate::bmc::{BmcResult, BmcSession};
-use crate::cert::{CertKind, Certificate};
-use crate::exchange::{ExchangeConfig, ExchangeStats, SharedContext};
-use crate::houdini::{houdini, Candidate, HoudiniResult};
-use crate::kind::{KindResult, KindSession};
+use crate::cert::Certificate;
+use crate::exchange::{ExchangeConfig, ExchangeStats};
+use crate::houdini::Candidate;
 use crate::lane::{Lane, LanePlan};
-use crate::pdr::{pdr_with_stats, PdrOptions, PdrResult};
 use crate::portfolio::{
-    race, BmcBackend, EngineOutcome, HoudiniBackend, KindBackend, LaneFactory, LaneSpec, PdrBackend,
+    race, serial, Backend, BmcBackend, EngineOutcome, HoudiniBackend, KindBackend, LaneFactory,
+    LaneResult, LaneSpec, PdrBackend,
 };
 use crate::prepare::{run_prepared, PrepareConfig};
-use crate::sim::Sim;
 use crate::trace::Trace;
 use crate::ts::TransitionSystem;
-use crate::warm::{LaneSolverStats, WarmPool};
+use crate::warm::LaneSolverStats;
 
 /// Which engine completed an unbounded proof.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -230,8 +229,9 @@ impl Verdict {
 /// How [`check_safety`] schedules its engines.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ExecMode {
-    /// One engine at a time: BMC, then Houdini, then k-induction, then
-    /// PDR, each inheriting whatever wall clock remains.
+    /// One lane at a time: extra lanes, BMC, Houdini, k-induction, PDR,
+    /// each inheriting whatever wall clock remains; Houdini's survivors
+    /// strengthen the lanes after it.
     #[default]
     Sequential,
     /// All engines race on threads; the first decisive lane (attack or
@@ -256,7 +256,7 @@ pub struct CheckOptions {
     pub pdr_max_frames: usize,
     /// Keep probe logic alive (larger encodings, readable traces).
     pub keep_probes: bool,
-    /// Sequential pipeline or thread-racing portfolio.
+    /// Serial lane schedule or thread-racing portfolio.
     pub mode: ExecMode,
     /// Per-lane budget shaping (wall caps, BMC depth schedule, exchange
     /// opt-outs). The empty default leaves every lane on the shared
@@ -272,7 +272,7 @@ pub struct CheckOptions {
     pub prepare: PrepareConfig,
     /// Reuse solver sessions across engine calls: BMC unrollings and
     /// k-induction base/step pairs that end undecided are parked in the
-    /// process-wide [`WarmPool`] and resumed by the next check on a
+    /// process-wide [`crate::WarmPool`] and resumed by the next check on a
     /// structurally identical netlist, so depth/budget escalations and
     /// repeated queries skip the re-encode/re-learn cost. Verdicts are
     /// unaffected (see `crate::warm` for the soundness argument); the
@@ -284,8 +284,8 @@ pub struct CheckOptions {
     /// other caller-supplied [`crate::Backend`]) joins the check. In
     /// portfolio mode each factory's backend races the solver lanes
     /// (a concrete leak is decisive and cancels them); in sequential
-    /// mode the extra lanes run first, as phase 0 of the pipeline,
-    /// under their [`LanePlan`] budgets. Empty by default.
+    /// mode the extra lanes run first, ahead of BMC, under their
+    /// [`LanePlan`] budgets. Empty by default.
     pub extra_lanes: Vec<LaneFactory>,
     /// Attach a checkable [`Certificate`] to every proof verdict (on by
     /// default; capturing the material is free — no extra SAT calls).
@@ -395,11 +395,10 @@ pub struct CheckReport {
     pub certificate: Option<Certificate>,
 }
 
-/// Folds a lane-run's stats into `acc`: merged into an existing entry
-/// for the same lane (sequential mode can run one lane several times —
-/// e.g. BMC phase 1 plus the PDR counterexample reconstruction), pushed
-/// otherwise. Keeps `acc` in stable pipeline order for byte-stable
-/// reports.
+/// Folds a lane's stats into `acc`: merged into an existing entry for
+/// the same lane (a lane can drive another lane's engine — the PDR
+/// lane's counterexample rebuild is BMC work), pushed otherwise. Keeps
+/// `acc` in stable pipeline order for byte-stable reports.
 fn record_solver_stats(acc: &mut Vec<LaneSolverStats>, stats: LaneSolverStats) {
     match acc.iter_mut().find(|s| s.lane == stats.lane) {
         Some(existing) => existing.absorb(&stats),
@@ -408,35 +407,16 @@ fn record_solver_stats(acc: &mut Vec<LaneSolverStats>, stats: LaneSolverStats) {
     acc.sort_by_key(|s| Lane::ALL.iter().position(|l| *l == s.lane));
 }
 
-fn remaining_budget(deadline: Instant) -> Budget {
-    Budget::until(deadline)
-}
-
-/// Checks out a warm session or builds a cold one, with `(hits, misses)`
-/// warm-start accounting (both zero when `warm` is off).
-fn checkout_or_build<S>(
-    warm: bool,
-    checkout: impl FnOnce() -> Option<S>,
-    build: impl FnOnce() -> S,
-) -> (S, u64, u64) {
-    if !warm {
-        return (build(), 0, 0);
-    }
-    match checkout() {
-        Some(s) => (s, 1, 0),
-        None => (build(), 0, 1),
-    }
-}
-
-/// Runs the engine pipeline, sequentially or as a portfolio race
-/// depending on [`CheckOptions::mode`]. Both modes produce the same
-/// verdict kinds: an attack beats a proof, a proof beats a timeout, and
-/// Houdini survivors strengthen the unbounded-proof engines.
+/// Runs the engine lanes, one at a time or as a race depending on
+/// [`CheckOptions::mode`]. Both modes schedule the same lane list and
+/// merge the lane results the same way: an attack beats a proof, a proof
+/// beats a timeout, and Houdini survivors strengthen the unbounded-proof
+/// engines.
 ///
 /// The instance is prepared first (see [`CheckOptions::prepare`]): every
-/// engine — both modes, every portfolio lane — runs on the reduced
-/// netlist, and any attack trace is lifted back to the input netlist's
-/// latch/input indices before the report is returned.
+/// lane, in both modes, runs on the reduced netlist, and any attack
+/// trace is lifted back to the input netlist's latch/input indices
+/// before the report is returned.
 pub fn check_safety(task: &SafetyCheck, opts: &CheckOptions) -> CheckReport {
     run_prepared(task, &opts.prepare, opts.keep_probes, |t| {
         check_safety_engines(t, opts)
@@ -444,86 +424,115 @@ pub fn check_safety(task: &SafetyCheck, opts: &CheckOptions) -> CheckReport {
 }
 
 fn check_safety_engines(task: &SafetyCheck, opts: &CheckOptions) -> CheckReport {
-    match opts.mode {
-        ExecMode::Sequential => check_safety_sequential(task, opts),
-        ExecMode::Portfolio => check_safety_portfolio(task, opts),
-    }
-}
-
-/// Portfolio mode: one lane per engine, racing under the shared budget.
-fn check_safety_portfolio(task: &SafetyCheck, opts: &CheckOptions) -> CheckReport {
     let start = Instant::now();
     let deadline = start + opts.total_budget;
-    // Summarize from the raw netlist: every lane builds its own
-    // cone-of-influence-reduced TransitionSystem, so building one here
-    // too would only delay the race start.
-    let mut notes = vec![format!(
-        "netlist: {} ands, {} latches, {} inputs, {} assumes, {} bads",
-        task.aig.num_ands(),
-        task.aig.num_latches(),
-        task.aig.num_inputs(),
-        task.aig.assumes().len(),
-        task.aig.bads().len()
-    )];
+    let lanes = lane_list(task, opts, start, deadline);
+    let notes = vec![
+        format!(
+            "netlist: {} ands, {} latches, {} inputs, {} assumes, {} bads",
+            task.aig.num_ands(),
+            task.aig.num_latches(),
+            task.aig.num_inputs(),
+            task.aig.assumes().len(),
+            task.aig.bads().len()
+        ),
+        match opts.mode {
+            ExecMode::Sequential => format!("sequential: running {} engines in order", lanes.len()),
+            ExecMode::Portfolio => format!(
+                "portfolio: racing {} engines ({} exchange)",
+                lanes.len(),
+                if opts.exchange.enabled { "with" } else { "no" }
+            ),
+        },
+    ];
+    let results = match opts.mode {
+        ExecMode::Sequential => {
+            let ts = TransitionSystem::shared(task.aig.clone(), opts.keep_probes);
+            serial(&lanes, &ts, &Budget::until(deadline))
+        }
+        // Every racing lane builds its own cone-of-influence-reduced
+        // system; building one here too would only delay the race start.
+        ExecMode::Portfolio => race(lanes, &task.aig, opts.keep_probes, &opts.exchange).lanes,
+    };
+    merge(results, opts, start, deadline, notes)
+}
 
-    let lane_spec = |backend: Box<dyn crate::portfolio::Backend>| {
+/// The check's lanes, in pipeline order: extra lanes (fuzzing), BMC,
+/// then — unless attack-only — Houdini, k-induction and PDR. In
+/// sequential mode the scheduler hands Houdini's strengthened system to
+/// the proof lanes after it; in portfolio mode those lanes race on the
+/// plain system, so the Houdini lane re-runs them on its strengthened
+/// one itself.
+fn lane_list(
+    task: &SafetyCheck,
+    opts: &CheckOptions,
+    start: Instant,
+    deadline: Instant,
+) -> Vec<LaneSpec> {
+    let spec = |backend: Box<dyn Backend>| {
         let lane = backend.lane();
         let xc = opts.lanes.get(lane).exchange;
         LaneSpec::new(backend, opts.lanes.deadline_for(lane, start, deadline))
             .exchange(xc.import, xc.export)
     };
-    let mut engines: Vec<LaneSpec> = vec![lane_spec(Box::new(
+    let proof_engines = || {
+        let mut engines: Vec<Box<dyn Backend>> = Vec::new();
+        if opts.kind_max_k > 0 {
+            engines.push(Box::new(
+                KindBackend::new(opts.kind_max_k).warm(opts.warm_start),
+            ));
+        }
+        if opts.use_pdr {
+            engines.push(Box::new(
+                PdrBackend::new(opts.pdr_max_frames, opts.bmc_depth).warm(opts.warm_start),
+            ));
+        }
+        engines
+    };
+    // Extra attack-finding lanes run in every mode, including
+    // attack-only: like BMC they hunt counterexamples, never proofs.
+    let mut lanes: Vec<LaneSpec> = opts.extra_lanes.iter().map(|f| spec(f.build())).collect();
+    lanes.push(spec(Box::new(
         BmcBackend::new(opts.bmc_depth)
             .schedule(opts.lanes.get(Lane::Bmc).depth_schedule.clone())
             .warm(opts.warm_start),
-    ))];
-    // Extra attack-finding lanes (fuzzing) race in every mode, including
-    // attack-only: like BMC they hunt counterexamples, never proofs.
-    for factory in &opts.extra_lanes {
-        engines.push(lane_spec(factory.build()));
+    )));
+    if opts.attack_only {
+        return lanes;
     }
-    if !opts.attack_only {
-        if opts.kind_max_k > 0 {
-            engines.push(lane_spec(Box::new(
-                KindBackend::new(opts.kind_max_k).warm(opts.warm_start),
-            )));
+    if !task.candidates.is_empty() {
+        let mut houdini = HoudiniBackend::new(task.candidates.clone());
+        if opts.mode == ExecMode::Portfolio {
+            let at = opts.lanes.deadline_for(Lane::Houdini, start, deadline);
+            houdini = houdini.then(
+                proof_engines()
+                    .into_iter()
+                    .map(|b| LaneSpec::new(b, at))
+                    .collect(),
+            );
         }
-        if opts.use_pdr {
-            engines.push(lane_spec(Box::new(PdrBackend::new(
-                opts.pdr_max_frames,
-                opts.bmc_depth,
-            ))));
-        }
-        if !task.candidates.is_empty() {
-            engines.push(lane_spec(Box::new(
-                HoudiniBackend::new(
-                    task.candidates.clone(),
-                    task.aig.clone(),
-                    opts.keep_probes,
-                    opts.kind_max_k,
-                    if opts.use_pdr { opts.pdr_max_frames } else { 0 },
-                    opts.bmc_depth,
-                )
-                .warm(opts.warm_start),
-            )));
-        }
+        lanes.push(spec(Box::new(houdini)));
     }
-    notes.push(format!(
-        "portfolio: racing {} engines ({} exchange)",
-        engines.len(),
-        if opts.exchange.enabled { "with" } else { "no" }
-    ));
+    lanes.extend(proof_engines().into_iter().map(spec));
+    lanes
+}
 
-    let report = race(engines, &task.aig, opts.keep_probes, &opts.exchange);
-    let exchange = if opts.exchange.enabled {
-        report.exchange_stats()
+/// Merges lane results (from either scheduler) into the report: an
+/// attack beats a proof beats a timeout beats inconclusive. Lanes
+/// canceled by a race winner report Timeout and only contribute notes.
+fn merge(
+    lanes: Vec<LaneResult>,
+    opts: &CheckOptions,
+    start: Instant,
+    deadline: Instant,
+    mut notes: Vec<String>,
+) -> CheckReport {
+    let bus = opts.mode == ExecMode::Portfolio && opts.exchange.enabled;
+    let exchange = if bus {
+        lanes.iter().map(LaneResult::exchange_stats).collect()
     } else {
         Vec::new()
     };
-
-    // Merge lane outcomes under the sequential precedence: an attack beats
-    // a proof beats a timeout beats inconclusive. Lanes canceled by the
-    // winner report Timeout and only contribute notes.
     let mut attack: Option<Box<Trace>> = None;
     let mut proof: Option<ProofEngine> = None;
     let mut certificate: Option<Certificate> = None;
@@ -531,17 +540,17 @@ fn check_safety_portfolio(task: &SafetyCheck, opts: &CheckOptions) -> CheckRepor
     let mut fuzz: Option<FuzzStats> = None;
     let mut coverage: Option<CoverageStats> = None;
     let mut solver: Vec<LaneSolverStats> = Vec::new();
-    for lane in report.lanes {
+    for lane in lanes {
         if fuzz.is_none() {
             fuzz = lane.fuzz.clone();
         }
         if coverage.is_none() {
             coverage = lane.coverage;
         }
-        if let Some(s) = lane.solver {
-            record_solver_stats(&mut solver, s);
+        for s in &lane.solver {
+            record_solver_stats(&mut solver, *s);
         }
-        let traffic = if opts.exchange.enabled {
+        let traffic = if bus {
             format!(" (imports {}, exports {})", lane.imports, lane.exports)
         } else {
             String::new()
@@ -557,6 +566,11 @@ fn check_safety_portfolio(task: &SafetyCheck, opts: &CheckOptions) -> CheckRepor
                 EngineOutcome::Timeout => "timeout/canceled".into(),
             }
         ));
+        notes.extend(lane.notes.iter().cloned());
+        // A timeout on a lane's own wall cap is local — except BMC's in
+        // attack-only mode, where no other solver lane can decide.
+        let global =
+            lane.on_shared_clock(Some(deadline)) || (opts.attack_only && lane.lane == Lane::Bmc);
         match lane.outcome {
             EngineOutcome::Attack(t) => {
                 // Keep the shallowest counterexample for readability.
@@ -571,16 +585,7 @@ fn check_safety_portfolio(task: &SafetyCheck, opts: &CheckOptions) -> CheckRepor
                     certificate = cert.map(|c| *c);
                 }
             }
-            EngineOutcome::Timeout => {
-                // A lane whose wall cap shortened its deadline below the
-                // shared one timed out locally, not globally — unless it
-                // was the only meaningful lane (attack-only mode), where
-                // the sequential pipeline also reports a global timeout.
-                let local_cap = !opts.attack_only && lane.deadline < deadline;
-                if !local_cap {
-                    timed_out = true;
-                }
-            }
+            EngineOutcome::Timeout => timed_out |= global,
             EngineOutcome::Inconclusive(_) => {}
         }
     }
@@ -589,14 +594,14 @@ fn check_safety_portfolio(task: &SafetyCheck, opts: &CheckOptions) -> CheckRepor
         Verdict::Attack(trace)
     } else if let Some(p) = proof {
         Verdict::Proof(p)
-    } else if opts.attack_only && !timed_out {
+    } else if timed_out {
+        Verdict::Timeout
+    } else if opts.attack_only {
         Verdict::Unknown {
             reason: InconclusiveReason::NoAttackWithinDepth {
                 depth: opts.bmc_depth,
             },
         }
-    } else if timed_out {
-        Verdict::Timeout
     } else {
         Verdict::Unknown {
             reason: InconclusiveReason::AllInconclusive,
@@ -612,512 +617,6 @@ fn check_safety_portfolio(task: &SafetyCheck, opts: &CheckOptions) -> CheckRepor
         coverage,
         solver,
         certificate: if opts.certify { certificate } else { None },
-    }
-}
-
-/// The classic one-engine-at-a-time pipeline. The thin wrapper exists so
-/// the extra-lane (fuzzing) statistics collected by phase 0 land on
-/// whichever report the pipeline eventually returns.
-fn check_safety_sequential(task: &SafetyCheck, opts: &CheckOptions) -> CheckReport {
-    let mut fuzz = None;
-    let mut coverage = None;
-    let mut solver = Vec::new();
-    let mut report =
-        check_safety_sequential_inner(task, opts, &mut fuzz, &mut coverage, &mut solver);
-    report.fuzz = fuzz;
-    report.coverage = coverage;
-    report.solver = solver;
-    report
-}
-
-fn check_safety_sequential_inner(
-    task: &SafetyCheck,
-    opts: &CheckOptions,
-    fuzz: &mut Option<FuzzStats>,
-    coverage: &mut Option<CoverageStats>,
-    solver: &mut Vec<LaneSolverStats>,
-) -> CheckReport {
-    let start = Instant::now();
-    let deadline = start + opts.total_budget;
-    let mut notes = Vec::new();
-
-    let ts = TransitionSystem::shared(task.aig.clone(), opts.keep_probes);
-    notes.push(format!("netlist: {}", ts.summary()));
-
-    // A lane's phase runs until its own wall cap (if any), clipped to the
-    // shared deadline; a timeout that only exhausted the lane cap skips
-    // the phase instead of ending the check.
-    let lane_budget = |lane: Lane| Budget::until(opts.lanes.deadline_for(lane, start, deadline));
-    let lane_cap_fired = |lane: Lane| opts.lanes.is_capped(lane) && Instant::now() < deadline;
-
-    // ---- phase 0: extra attack-finding lanes (fuzzing) ---------------------
-    // Sequential counterpart of the portfolio's extra lanes: each runs to
-    // completion under its lane budget before the solvers start. A leak
-    // is an attack like any other; an exhausted campaign is a note.
-    for factory in &opts.extra_lanes {
-        let backend = factory.build();
-        let lane = backend.lane();
-        let mut quiet = SharedContext::disabled(lane);
-        let outcome = backend.run(&ts, lane_budget(lane), &mut quiet);
-        if fuzz.is_none() {
-            *fuzz = backend.fuzz_stats();
-        }
-        if coverage.is_none() {
-            *coverage = backend.coverage_stats();
-        }
-        if let Some(s) = backend.solver_stats() {
-            record_solver_stats(solver, s);
-        }
-        match outcome {
-            EngineOutcome::Attack(trace) => {
-                notes.push(format!(
-                    "{} found attack at depth {}",
-                    backend.name(),
-                    trace.depth()
-                ));
-                return CheckReport {
-                    verdict: Verdict::Attack(trace),
-                    elapsed: start.elapsed(),
-                    notes,
-                    exchange: Vec::new(),
-                    prepare: Vec::new(),
-                    fuzz: None,
-                    coverage: None,
-                    solver: Vec::new(),
-                    certificate: None,
-                };
-            }
-            EngineOutcome::Proof(p, cert) => {
-                return CheckReport {
-                    verdict: Verdict::Proof(p),
-                    elapsed: start.elapsed(),
-                    notes,
-                    exchange: Vec::new(),
-                    prepare: Vec::new(),
-                    fuzz: None,
-                    coverage: None,
-                    solver: Vec::new(),
-                    certificate: if opts.certify { cert.map(|c| *c) } else { None },
-                };
-            }
-            EngineOutcome::Inconclusive(reason) => {
-                notes.push(format!("{}: {reason}", backend.name()));
-            }
-            EngineOutcome::Timeout => {
-                if lane_cap_fired(lane) {
-                    notes.push(format!("{} lane cap exhausted; continuing", backend.name()));
-                } else if Instant::now() >= deadline {
-                    notes.push(format!("{} timeout", backend.name()));
-                    return CheckReport {
-                        verdict: Verdict::Timeout,
-                        elapsed: start.elapsed(),
-                        notes,
-                        exchange: Vec::new(),
-                        prepare: Vec::new(),
-                        fuzz: None,
-                        coverage: None,
-                        solver: Vec::new(),
-                        certificate: None,
-                    };
-                } else {
-                    notes.push(format!("{} stopped early; continuing", backend.name()));
-                }
-            }
-        }
-    }
-
-    // ---- phase 1: attack search (BMC) -------------------------------------
-    let bmc_depth = opts
-        .lanes
-        .get(Lane::Bmc)
-        .depth_schedule
-        .last()
-        .copied()
-        .unwrap_or(opts.bmc_depth);
-    let pool = WarmPool::global();
-    let (mut bmc_session, bmc_hits, bmc_misses) = checkout_or_build(
-        opts.warm_start,
-        || pool.checkout_bmc(ts.fingerprint()),
-        || BmcSession::new(&ts),
-    );
-    let bmc_snapshot = bmc_session.solver_stats();
-    let bmc_result = bmc_session.run_to(
-        bmc_depth,
-        lane_budget(Lane::Bmc),
-        &mut SharedContext::disabled(Lane::Bmc),
-    );
-    {
-        let mut st = LaneSolverStats::delta(Lane::Bmc, bmc_snapshot, bmc_session.solver_stats());
-        st.warm_hits = bmc_hits;
-        st.warm_misses = bmc_misses;
-        record_solver_stats(solver, st);
-    }
-    if opts.warm_start && !matches!(bmc_result, BmcResult::Cex(_)) {
-        pool.park_bmc(bmc_session);
-    }
-    match bmc_result {
-        BmcResult::Cex(trace) => {
-            let (assumes_ok, bad) = Sim::new(ts.aig()).replay(&trace);
-            if !(assumes_ok && bad) {
-                notes.push("WARNING: counterexample failed simulation replay".into());
-            } else {
-                notes.push(format!(
-                    "cex validated by replay at depth {}",
-                    trace.depth()
-                ));
-            }
-            return CheckReport {
-                verdict: Verdict::Attack(trace),
-                elapsed: start.elapsed(),
-                notes,
-                exchange: Vec::new(),
-                prepare: Vec::new(),
-                fuzz: None,
-                coverage: None,
-                solver: Vec::new(),
-                certificate: None,
-            };
-        }
-        BmcResult::Clean { depth_checked } => {
-            notes.push(format!("bmc clean to depth {depth_checked}"));
-        }
-        BmcResult::Timeout { depth_checked } => {
-            if lane_cap_fired(Lane::Bmc) && !opts.attack_only {
-                notes.push(format!(
-                    "bmc lane cap exhausted (clean to {depth_checked:?}); continuing"
-                ));
-            } else {
-                notes.push(format!("bmc timeout (clean to {depth_checked:?})"));
-                return CheckReport {
-                    verdict: Verdict::Timeout,
-                    elapsed: start.elapsed(),
-                    notes,
-                    exchange: Vec::new(),
-                    prepare: Vec::new(),
-                    fuzz: None,
-                    coverage: None,
-                    solver: Vec::new(),
-                    certificate: None,
-                };
-            }
-        }
-    }
-    if opts.attack_only {
-        return CheckReport {
-            verdict: Verdict::Unknown {
-                reason: InconclusiveReason::NoAttackWithinDepth {
-                    depth: opts.bmc_depth,
-                },
-            },
-            elapsed: start.elapsed(),
-            notes,
-            exchange: Vec::new(),
-            prepare: Vec::new(),
-            fuzz: None,
-            coverage: None,
-            solver: Vec::new(),
-            certificate: None,
-        };
-    }
-
-    // ---- phase 2: Houdini lemmas -------------------------------------------
-    let mut proof_aig = task.aig.clone();
-    // Surviving candidate indices, remembered so later proof phases can
-    // fold them into their certificates (the survivors become assumes of
-    // `proof_aig`, so any later invariant is relative to them).
-    let mut survivors: Vec<usize> = Vec::new();
-    if !task.candidates.is_empty() {
-        match houdini(&ts, &task.candidates, lane_budget(Lane::Houdini)) {
-            HoudiniResult::Done(out) => {
-                notes.push(format!(
-                    "houdini: {}/{} candidates survive after {} rounds",
-                    out.survivors.len(),
-                    task.candidates.len(),
-                    out.rounds
-                ));
-                if out.proves_safety {
-                    let certificate = opts.certify.then(|| Certificate {
-                        restored: Vec::new(),
-                        survivors: out.survivors.clone(),
-                        kind: CertKind::Inductive {
-                            blocked: Vec::new(),
-                        },
-                    });
-                    return CheckReport {
-                        verdict: Verdict::Proof(ProofEngine::Houdini {
-                            invariants: out.survivors.len(),
-                        }),
-                        elapsed: start.elapsed(),
-                        notes,
-                        exchange: Vec::new(),
-                        prepare: Vec::new(),
-                        fuzz: None,
-                        coverage: None,
-                        solver: Vec::new(),
-                        certificate,
-                    };
-                }
-                // Conjoin surviving invariants as constraints for the
-                // remaining engines — sound because they are inductive.
-                for &i in &out.survivors {
-                    proof_aig.add_assume(task.candidates[i].bit);
-                }
-                survivors = out.survivors;
-            }
-            HoudiniResult::Timeout => {
-                if lane_cap_fired(Lane::Houdini) {
-                    notes.push("houdini lane cap exhausted; continuing unstrengthened".into());
-                } else {
-                    notes.push("houdini timeout".into());
-                    return CheckReport {
-                        verdict: Verdict::Timeout,
-                        elapsed: start.elapsed(),
-                        notes,
-                        exchange: Vec::new(),
-                        prepare: Vec::new(),
-                        fuzz: None,
-                        coverage: None,
-                        solver: Vec::new(),
-                        certificate: None,
-                    };
-                }
-            }
-        }
-    }
-    let proof_ts = TransitionSystem::shared(proof_aig, opts.keep_probes);
-
-    // ---- phase 3: k-induction ----------------------------------------------
-    if opts.kind_max_k > 0 {
-        let (mut kind_session, kind_hits, kind_misses) = checkout_or_build(
-            opts.warm_start,
-            || pool.checkout_kind(proof_ts.fingerprint(), false),
-            || KindSession::new(&proof_ts, false),
-        );
-        let kind_snapshot = kind_session.solver_stats();
-        let kind_result = kind_session.run_to(
-            opts.kind_max_k,
-            lane_budget(Lane::KInduction),
-            &mut SharedContext::disabled(Lane::KInduction),
-        );
-        {
-            let mut st = LaneSolverStats::delta(
-                Lane::KInduction,
-                kind_snapshot,
-                kind_session.solver_stats(),
-            );
-            st.warm_hits = kind_hits;
-            st.warm_misses = kind_misses;
-            record_solver_stats(solver, st);
-        }
-        // A warm session checked out of the pool may carry facts a
-        // previous (exchange-enabled) run imported — such a proof is not
-        // self-contained, so it ships without a certificate.
-        let kind_imports = kind_session.imported_facts();
-        // Parking discipline (see crate::warm): Unknown outcomes only.
-        if opts.warm_start && matches!(kind_result, KindResult::Unknown { .. }) {
-            pool.park_kind(kind_session);
-        }
-        match kind_result {
-            KindResult::Proof { k } => {
-                let certificate = (opts.certify && kind_imports == 0).then(|| Certificate {
-                    restored: Vec::new(),
-                    survivors: survivors.clone(),
-                    kind: CertKind::KInduction { k },
-                });
-                return CheckReport {
-                    verdict: Verdict::Proof(ProofEngine::KInduction { k }),
-                    elapsed: start.elapsed(),
-                    notes,
-                    exchange: Vec::new(),
-                    prepare: Vec::new(),
-                    fuzz: None,
-                    coverage: None,
-                    solver: Vec::new(),
-                    certificate,
-                };
-            }
-            KindResult::Cex(trace) => {
-                // Deeper than the BMC bound: a real attack. Validate on the
-                // original (lemma-free) netlist.
-                let (assumes_ok, bad) = Sim::new(ts.aig()).replay(&trace);
-                if assumes_ok && bad {
-                    notes.push(format!(
-                        "k-induction base found cex at depth {}",
-                        trace.depth()
-                    ));
-                    return CheckReport {
-                        verdict: Verdict::Attack(trace),
-                        elapsed: start.elapsed(),
-                        notes,
-                        exchange: Vec::new(),
-                        prepare: Vec::new(),
-                        fuzz: None,
-                        coverage: None,
-                        solver: Vec::new(),
-                        certificate: None,
-                    };
-                }
-                notes.push("k-induction base cex failed replay; ignoring".into());
-            }
-            KindResult::Unknown { max_k_tried } => {
-                notes.push(format!("k-induction inconclusive to k={max_k_tried}"));
-            }
-            KindResult::Timeout => {
-                if lane_cap_fired(Lane::KInduction) {
-                    notes.push("k-induction lane cap exhausted; continuing".into());
-                } else {
-                    notes.push("k-induction timeout".into());
-                    return CheckReport {
-                        verdict: Verdict::Timeout,
-                        elapsed: start.elapsed(),
-                        notes,
-                        exchange: Vec::new(),
-                        prepare: Vec::new(),
-                        fuzz: None,
-                        coverage: None,
-                        solver: Vec::new(),
-                        certificate: None,
-                    };
-                }
-            }
-        }
-    }
-
-    // ---- phase 4: PDR --------------------------------------------------------
-    if opts.use_pdr {
-        let (pdr_result, pdr_raw) = pdr_with_stats(
-            &proof_ts,
-            PdrOptions {
-                max_frames: opts.pdr_max_frames,
-                budget: lane_budget(Lane::Pdr),
-            },
-            &mut SharedContext::disabled(Lane::Pdr),
-        );
-        record_solver_stats(solver, LaneSolverStats::cold(Lane::Pdr, pdr_raw));
-        match pdr_result {
-            PdrResult::Proof {
-                frames,
-                invariant_clauses,
-                fixpoint_level,
-                invariant,
-            } => {
-                let certificate = opts.certify.then(|| Certificate {
-                    restored: Vec::new(),
-                    survivors: survivors.clone(),
-                    kind: CertKind::Inductive { blocked: invariant },
-                });
-                return CheckReport {
-                    verdict: Verdict::Proof(ProofEngine::Pdr {
-                        frames,
-                        clauses: invariant_clauses,
-                        fixpoint_level,
-                    }),
-                    elapsed: start.elapsed(),
-                    notes,
-                    exchange: Vec::new(),
-                    prepare: Vec::new(),
-                    fuzz: None,
-                    coverage: None,
-                    solver: Vec::new(),
-                    certificate,
-                };
-            }
-            PdrResult::Cex { depth_hint } => {
-                notes.push(format!("pdr reports cex near depth {depth_hint}"));
-                // Regenerate a concrete trace with BMC beyond the earlier
-                // bound — on the warm path this resumes the phase-1
-                // session (parked clean at `bmc_depth`) instead of
-                // re-unrolling from frame 0.
-                let deep = depth_hint.max(opts.bmc_depth + 1) + 8;
-                let (mut deep_session, deep_hits, deep_misses) = checkout_or_build(
-                    opts.warm_start,
-                    || pool.checkout_bmc(ts.fingerprint()),
-                    || BmcSession::new(&ts),
-                );
-                let deep_snapshot = deep_session.solver_stats();
-                let deep_result = deep_session.run_to(
-                    deep,
-                    remaining_budget(deadline),
-                    &mut SharedContext::disabled(Lane::Bmc),
-                );
-                {
-                    let mut st = LaneSolverStats::delta(
-                        Lane::Bmc,
-                        deep_snapshot,
-                        deep_session.solver_stats(),
-                    );
-                    st.warm_hits = deep_hits;
-                    st.warm_misses = deep_misses;
-                    record_solver_stats(solver, st);
-                }
-                if opts.warm_start && !matches!(deep_result, BmcResult::Cex(_)) {
-                    pool.park_bmc(deep_session);
-                }
-                if let BmcResult::Cex(trace) = deep_result {
-                    let (assumes_ok, bad) = Sim::new(ts.aig()).replay(&trace);
-                    if assumes_ok && bad {
-                        return CheckReport {
-                            verdict: Verdict::Attack(trace),
-                            elapsed: start.elapsed(),
-                            notes,
-                            exchange: Vec::new(),
-                            prepare: Vec::new(),
-                            fuzz: None,
-                            coverage: None,
-                            solver: Vec::new(),
-                            certificate: None,
-                        };
-                    }
-                }
-                notes.push("bmc could not reconstruct pdr cex in budget".into());
-                return CheckReport {
-                    verdict: Verdict::Timeout,
-                    elapsed: start.elapsed(),
-                    notes,
-                    exchange: Vec::new(),
-                    prepare: Vec::new(),
-                    fuzz: None,
-                    coverage: None,
-                    solver: Vec::new(),
-                    certificate: None,
-                };
-            }
-            PdrResult::Timeout => {
-                if lane_cap_fired(Lane::Pdr) {
-                    notes.push("pdr lane cap exhausted".into());
-                } else {
-                    notes.push("pdr timeout".into());
-                    return CheckReport {
-                        verdict: Verdict::Timeout,
-                        elapsed: start.elapsed(),
-                        notes,
-                        exchange: Vec::new(),
-                        prepare: Vec::new(),
-                        fuzz: None,
-                        coverage: None,
-                        solver: Vec::new(),
-                        certificate: None,
-                    };
-                }
-            }
-            PdrResult::FrameLimit { frames } => {
-                notes.push(format!("pdr frame limit at {frames}"));
-            }
-        }
-    }
-
-    CheckReport {
-        verdict: Verdict::Unknown {
-            reason: InconclusiveReason::AllInconclusive,
-        },
-        elapsed: start.elapsed(),
-        notes,
-        exchange: Vec::new(),
-        prepare: Vec::new(),
-        fuzz: None,
-        coverage: None,
-        solver: Vec::new(),
-        certificate: None,
     }
 }
 
@@ -1302,6 +801,107 @@ mod tests {
                 report.notes
             );
         }
+    }
+
+    /// The saturating counter of `counter_task(4, 6, false)` next to a
+    /// held flag `g` (reset 0) that is also bad, with the inductive
+    /// candidate `!g`: Houdini keeps it, but it does not exclude `r == 6`
+    /// on its own. Preparation is off so the candidate reaches Houdini.
+    fn flagged_counter_task() -> (SafetyCheck, CheckOptions) {
+        let mut d = Design::new("t");
+        let r = d.reg("r", 4, Init::Zero);
+        let at_limit = d.eq_const(&r.q(), 5);
+        let inc = d.add_const(&r.q(), 1);
+        let nxt = d.mux(at_limit, &r.q(), &inc);
+        d.set_next(&r, nxt);
+        let g = d.reg("g", 1, Init::Zero);
+        d.hold(&g);
+        let flag = g.q().bit(0);
+        let hit = d.eq_const(&r.q(), 6);
+        let bad = d.or_bit(hit, flag);
+        d.assert_always("hit", bad.not());
+        let task = SafetyCheck {
+            aig: d.finish(),
+            candidates: vec![Candidate {
+                name: "g_low".into(),
+                bit: flag.not(),
+            }],
+        };
+        let opts = CheckOptions::default().with_prepare(PrepareConfig::off());
+        (task, opts)
+    }
+
+    /// A spent Houdini cap skips the strengthening: the proof lanes run
+    /// on the plain system and still prove, citing no survivors.
+    #[test]
+    fn houdini_lane_cap_continues_unstrengthened() {
+        use crate::lane::{LaneBudget, LanePlan};
+        let (task, opts) = flagged_counter_task();
+        for mode in [ExecMode::Sequential, ExecMode::Portfolio] {
+            let opts = CheckOptions {
+                lanes: LanePlan::new().with(Lane::Houdini, LaneBudget::wall(Duration::ZERO)),
+                mode,
+                ..opts.clone()
+            };
+            let report = check_safety(&task, &opts);
+            assert!(
+                matches!(
+                    report.verdict,
+                    Verdict::Proof(ProofEngine::KInduction { .. } | ProofEngine::Pdr { .. })
+                ),
+                "{mode:?}: {:?} {:?}",
+                report.verdict,
+                report.notes
+            );
+            let cert = report.certificate.expect("self-contained proof");
+            assert!(cert.survivors.is_empty(), "{mode:?}: {cert:?}");
+        }
+    }
+
+    /// Sequential mode hands Houdini's survivors past a spent
+    /// k-induction cap to PDR, whose certificate cites them.
+    #[test]
+    fn kind_lane_cap_leaves_pdr_the_strengthened_system() {
+        use crate::lane::{LaneBudget, LanePlan};
+        let (task, opts) = flagged_counter_task();
+        let opts = CheckOptions {
+            lanes: LanePlan::new().with(Lane::KInduction, LaneBudget::wall(Duration::ZERO)),
+            ..opts
+        };
+        let report = check_safety(&task, &opts);
+        assert!(
+            matches!(report.verdict, Verdict::Proof(ProofEngine::Pdr { .. })),
+            "{:?} {:?}",
+            report.verdict,
+            report.notes
+        );
+        let cert = report.certificate.expect("self-contained proof");
+        assert_eq!(cert.survivors, vec![0]);
+    }
+
+    /// With warm start on, the PDR lane rebuilds its deep counterexample
+    /// by resuming the BMC session the BMC lane parked clean at its bound.
+    #[test]
+    fn warm_pdr_rebuild_resumes_parked_bmc_session() {
+        let task = counter_task(4, 12, true);
+        let opts = CheckOptions {
+            bmc_depth: 4,
+            ..Default::default()
+        }
+        .warm(true);
+        let report = check_safety(&task, &opts);
+        assert!(
+            report.verdict.is_attack(),
+            "{:?} {:?}",
+            report.verdict,
+            report.notes
+        );
+        let bmc = report
+            .solver
+            .iter()
+            .find(|s| s.lane == Lane::Bmc)
+            .expect("bmc lane stats present");
+        assert!(bmc.warm_hits >= 1, "{:?} {:?}", report.solver, report.notes);
     }
 
     /// A BMC depth schedule still finds attacks beyond its shallow steps

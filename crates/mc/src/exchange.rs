@@ -427,8 +427,8 @@ pub struct SharedContext {
 
 impl SharedContext {
     /// A context with no bus: every publish/poll is a no-op. This is what
-    /// lanes get when the exchange is disabled (and what sequential-mode
-    /// engine calls use).
+    /// lanes get when the exchange is disabled (and what every lane of the
+    /// serial schedule uses).
     pub fn disabled(lane: Lane) -> SharedContext {
         SharedContext {
             bus: None,

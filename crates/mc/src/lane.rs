@@ -7,14 +7,12 @@
 //! search) and a wall-clock cap, while PDR keeps the full clock. A
 //! [`LanePlan`] captures that: one optional [`LaneBudget`] per [`Lane`],
 //! threaded through [`crate::CheckOptions::lanes`] into both execution
-//! modes of [`crate::check_safety`]:
-//!
-//! * **portfolio** — each racing lane's deadline is the earlier of the
-//!   shared deadline and its own wall cap; the BMC lane walks its depth
-//!   schedule instead of a single full-depth pass;
-//! * **sequential** — each phase is capped by its lane wall, and a phase
-//!   that exhausts *its own* cap (rather than the global clock) is
-//!   skipped with a note instead of timing out the whole check.
+//! modes of [`crate::check_safety`]. Each lane's deadline is the earlier of the shared deadline and its own
+//! wall cap, and the BMC lane walks its depth schedule instead of a
+//! single full-depth pass. A lane that exhausts *its own* cap (rather
+//! than the shared clock) times out locally: the portfolio ignores it,
+//! and the sequential schedule moves on to the next lane instead of
+//! timing out the whole check.
 //!
 //! The default plan is empty (no caps, no schedule) and reproduces the
 //! previous behaviour exactly.
@@ -30,7 +28,8 @@ pub enum Lane {
     KInduction,
     /// IC3/property-directed reachability.
     Pdr,
-    /// Houdini invariant filtering (plus its strengthened re-runs).
+    /// Houdini invariant filtering (plus, in portfolio mode, its
+    /// strengthened re-runs).
     Houdini,
     /// Differential fuzzing on the bit-parallel simulator (extra
     /// attack-finding lanes registered through

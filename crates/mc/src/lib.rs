@@ -14,14 +14,17 @@
 //!   invariants (the mechanism behind the LEAVE comparison scheme),
 //! * [`pdr`] — IC3/property-directed reachability (unbounded proofs; the
 //!   paper's `Mp`/`AM` engine role),
-//! * [`engine::check_safety`] — the orchestrated pipeline producing the
+//! * [`engine::check_safety`] — the orchestrated check producing the
 //!   paper's three outcomes: attack counterexample, unbounded proof, or
-//!   timeout,
+//!   timeout. It builds one ordered lane list (extra lanes, BMC, Houdini,
+//!   k-induction, PDR) and merges the lane results into one report,
 //! * [`portfolio`] — the [`portfolio::Backend`] trait (API v2) and the
-//!   thread-racing scheduler behind `check_safety`'s portfolio mode: all
-//!   backends run concurrently, the first decisive lane cancels the rest
-//!   through a stop flag shared via `csl_sat::Budget`, and every backend
-//!   holds a handle on the exchange bus,
+//!   two schedulers over it: [`serial`] (sequential mode) runs the lanes
+//!   in order and hands Houdini's strengthened system to the proof lanes
+//!   after it; [`race`] (portfolio mode) runs them concurrently, the
+//!   first decisive lane cancelling the rest through a stop flag shared
+//!   via `csl_sat::Budget`, with every backend holding a handle on the
+//!   exchange bus,
 //! * [`exchange`] — the cross-lane lemma/clause [`Exchange`] bus: BMC
 //!   publishes learnt clauses at conflict boundaries, Houdini streams
 //!   survivor lemmas at its consecution fixpoint, and k-induction/PDR
@@ -86,8 +89,8 @@ pub use kind::{k_induction, k_induction_with, KindOptions, KindResult, KindSessi
 pub use lane::{Lane, LaneBudget, LaneExchange, LanePlan};
 pub use pdr::{pdr, pdr_with, pdr_with_stats, Cube, PdrOptions, PdrResult};
 pub use portfolio::{
-    race, Backend, BmcBackend, EngineOutcome, HoudiniBackend, KindBackend, LaneFactory, LaneResult,
-    LaneSpec, PdrBackend, RaceReport,
+    race, serial, Backend, BmcBackend, EngineOutcome, HoudiniBackend, KindBackend, LaneFactory,
+    LaneResult, LaneSpec, PdrBackend, RaceReport,
 };
 pub use prepare::{prepare, PrepareConfig, PrepareStats, PreparedInstance};
 pub use sim::{

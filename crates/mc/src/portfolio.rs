@@ -1,15 +1,21 @@
-//! Portfolio execution: verification backends racing on threads, with a
-//! shared lemma/clause exchange bus.
+//! Lane scheduling: the verification backends, the two schedulers that
+//! run them, and the lemma/clause exchange bus they share.
 //!
 //! The paper's JasperGold workflow (§6) runs an attack-finding engine and
 //! several proof engines against the same instrumented design under one
-//! wall-clock budget. The sequential pipeline in [`crate::engine`] burns
-//! that budget one engine at a time; this module instead races every
-//! backend on its own `std::thread` worker — first decisive verdict wins —
-//! with cooperative cancellation: the shared [`AtomicBool`] stop flag is
-//! threaded through [`csl_sat::Budget`], so the losers' in-flight SAT
-//! queries abort at their next conflict boundary instead of running to
-//! their own timeouts.
+//! wall-clock budget. [`crate::check_safety`] builds one ordered lane
+//! list — extra lanes (fuzzing), BMC, Houdini, k-induction, PDR — and
+//! hands it to one of two schedulers over the same [`Backend`]s:
+//!
+//! * [`serial`] runs the lanes one at a time, in order, and stops at the
+//!   first decisive outcome or at a timeout of the shared clock. A lane
+//!   that strengthens the instance (Houdini) hands the strengthened
+//!   system to the lanes after it.
+//! * [`race`] runs every lane on its own `std::thread` worker — first
+//!   decisive verdict wins — with cooperative cancellation: the shared
+//!   [`AtomicBool`] stop flag is threaded through [`csl_sat::Budget`], so
+//!   the losers' in-flight SAT queries abort at their next conflict
+//!   boundary instead of running to their own timeouts.
 //!
 //! **Backend API v2:** a lane is a [`Backend`], whose `run` receives a
 //! [`SharedContext`] handle on the [`crate::exchange`] bus in addition to
@@ -18,20 +24,21 @@
 //! conflict boundaries, the Houdini lane streams survivor lemmas the
 //! moment its consecution fixpoint lands, and k-induction/PDR poll the
 //! bus between SAT queries to strengthen their *running* solvers in
-//! place. With the bus disabled every context is inert and the race is
-//! the isolated-lane portfolio of v1.
+//! place. With the bus disabled (and always under [`serial`]) every
+//! context is inert and the race is the isolated-lane portfolio of v1.
 //!
-//! Verdict semantics match the sequential pipeline: an attack
-//! counterexample beats a proof, a proof beats a timeout, and Houdini
-//! survivors still strengthen k-induction/PDR — over the bus when it is
-//! on, and through the lane's own strengthened re-runs either way (the
-//! re-runs stay as insurance for proof engines that finished before the
-//! lemmas arrived).
+//! Both schedulers return [`LaneResult`]s, merged under one precedence:
+//! an attack counterexample beats a proof, a proof beats a timeout. Houdini
+//! survivors strengthen k-induction/PDR either way — serially through the
+//! hand-off, and in a race through the Houdini lane's own [`serial`]
+//! re-run of those engines on the strengthened system (insurance for
+//! racing proof lanes that ended before the lemmas reached the bus).
 //!
 //! Proof outcomes carry optional [`Certificate`] material (the engine's
-//! inductive invariant / closing `k`) so the report layer can attach a
-//! checkable artifact; a lane that leaned on imported bus facts ships
-//! its proof without one, since those facts are not self-contained.
+//! inductive invariant / closing `k`, plus the Houdini survivors the
+//! system assumed) so the report layer can attach a checkable artifact; a
+//! lane that leaned on imported bus facts ships its proof without one,
+//! since those facts are not self-contained.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -41,7 +48,7 @@ use std::time::{Duration, Instant};
 use csl_hdl::Aig;
 use csl_sat::Budget;
 
-use crate::bmc::{bmc, BmcResult, BmcSession};
+use crate::bmc::{BmcResult, BmcSession};
 use crate::cert::{CertKind, Certificate};
 use crate::engine::{CoverageStats, FuzzStats, InconclusiveReason, ProofEngine};
 use crate::exchange::{Exchange, ExchangeConfig, ExchangeStats, SharedContext};
@@ -77,13 +84,18 @@ impl EngineOutcome {
     }
 }
 
-/// One lane of the portfolio, v2: a named engine that checks a
-/// transition system under a (cancellable) budget, publishing to and
-/// importing from the exchange bus through `ctx`. Implementations must
-/// validate their own counterexamples (replay on the concrete simulator)
-/// before reporting [`EngineOutcome::Attack`], and must only publish
-/// facts implied by the shared instance (see [`crate::exchange`] for the
-/// soundness rules the built-in backends follow).
+/// One lane, v2: a named engine that checks a transition system under a
+/// (cancellable) budget, publishing to and importing from the exchange
+/// bus through `ctx`. Implementations must validate their own
+/// counterexamples (replay on the concrete simulator, against
+/// [`TransitionSystem::plain`]) before reporting
+/// [`EngineOutcome::Attack`], and must only publish facts implied by the
+/// shared instance (see [`crate::exchange`] for the soundness rules the
+/// built-in backends follow).
+///
+/// The accessors below are read *after* `run` returns (implementations
+/// record their values internally); both schedulers copy them into the
+/// lane's [`LaneResult`].
 pub trait Backend: Send {
     fn name(&self) -> &'static str;
     /// The budget/exchange lane this backend occupies.
@@ -98,28 +110,34 @@ pub trait Backend: Send {
         ctx: &mut SharedContext,
     ) -> EngineOutcome;
 
-    /// Campaign statistics for fuzzing lanes, read *after* `run` returns
-    /// (implementations record them internally). Solver lanes keep the
-    /// default `None`; the race copies the value into its
-    /// [`LaneResult`] so the stats reach [`crate::CheckReport::fuzz`].
+    /// Campaign statistics, for fuzzing lanes (they reach
+    /// [`crate::CheckReport::fuzz`]).
     fn fuzz_stats(&self) -> Option<FuzzStats> {
         None
     }
 
-    /// Solver activity of the last `run`, read *after* it returns —
-    /// the SAT-lane counterpart of [`Backend::fuzz_stats`]. Non-solver
-    /// lanes keep the default `None`; the race copies the value into
-    /// [`LaneResult::solver`] so it reaches
-    /// [`crate::CheckReport::solver`].
-    fn solver_stats(&self) -> Option<LaneSolverStats> {
+    /// Solver activity of the last `run`, one entry per engine lane it
+    /// drove (the PDR lane's counterexample rebuild is BMC work). They
+    /// reach [`crate::CheckReport::solver`].
+    fn solver_stats(&self) -> Vec<LaneSolverStats> {
+        Vec::new()
+    }
+
+    /// Coverage accounting, for coverage-guided fuzzing lanes (it
+    /// reaches [`crate::CheckReport::coverage`]).
+    fn coverage_stats(&self) -> Option<CoverageStats> {
         None
     }
 
-    /// Coverage accounting of the last `run`, read *after* it returns —
-    /// populated only by coverage-guided fuzzing lanes. The race copies
-    /// the value into [`LaneResult::coverage`] so it reaches
-    /// [`crate::CheckReport::coverage`].
-    fn coverage_stats(&self) -> Option<CoverageStats> {
+    /// Lines the last `run` adds to [`crate::CheckReport::notes`].
+    fn notes(&self) -> Vec<String> {
+        Vec::new()
+    }
+
+    /// The strengthened system the last `run` left behind (Houdini's
+    /// survivors as assumes). [`serial`] runs the remaining lanes on it;
+    /// [`race`] ignores it.
+    fn strengthened(&self) -> Option<Arc<TransitionSystem>> {
         None
     }
 }
@@ -127,10 +145,9 @@ pub trait Backend: Send {
 /// A cloneable constructor for caller-supplied lanes, registered through
 /// [`crate::CheckOptions::extra_lanes`]. `CheckOptions` must stay
 /// `Clone`, and a `Box<dyn Backend>` is not — so options carry factories
-/// and each check (each portfolio race, each sequential phase 0) builds
-/// a fresh backend. The label identifies the lane configuration in
-/// session cache keys, so it must change whenever the produced backend's
-/// behaviour does.
+/// and each check builds a fresh backend. The label identifies the lane
+/// configuration in session cache keys, so it must change whenever the
+/// produced backend's behaviour does.
 #[derive(Clone)]
 pub struct LaneFactory {
     label: String,
@@ -182,10 +199,37 @@ fn warm_or_build<S>(
     }
 }
 
-/// Validates a trace by concrete replay; decisive only if the replay
-/// satisfies the assumptions and fires a bad bit.
-fn validated_attack(ts: &TransitionSystem, trace: Box<Trace>, engine: &str) -> EngineOutcome {
-    let (assumes_ok, bad) = Sim::new(ts.aig()).replay(&trace);
+/// Drives `drive` on a BMC session for `ts` — checked out of the global
+/// [`WarmPool`] when `warm`, built cold otherwise — and parks the session
+/// again unless it produced a counterexample. Returns the outcome and the
+/// session's solver activity over the call.
+fn with_bmc_session(
+    ts: &Arc<TransitionSystem>,
+    warm: bool,
+    drive: impl FnOnce(&mut BmcSession) -> EngineOutcome,
+) -> (EngineOutcome, LaneSolverStats) {
+    let pool = WarmPool::global();
+    let (mut session, hits, misses) = warm_or_build(
+        warm,
+        || pool.checkout_bmc(ts.fingerprint()),
+        || BmcSession::new(ts),
+    );
+    let snapshot = session.solver_stats();
+    let outcome = drive(&mut session);
+    let mut stats = LaneSolverStats::delta(Lane::Bmc, snapshot, session.solver_stats());
+    stats.warm_hits = hits;
+    stats.warm_misses = misses;
+    if warm && !outcome.is_decisive() {
+        pool.park_bmc(session);
+    }
+    (outcome, stats)
+}
+
+/// Validates a trace by concrete replay on the unstrengthened system;
+/// decisive only if the replay satisfies the assumptions and fires a bad
+/// bit.
+fn validated_attack(ts: &Arc<TransitionSystem>, trace: Box<Trace>, engine: &str) -> EngineOutcome {
+    let (assumes_ok, bad) = Sim::new(ts.plain().aig()).replay(&trace);
     if assumes_ok && bad {
         EngineOutcome::Attack(trace)
     } else {
@@ -193,6 +237,16 @@ fn validated_attack(ts: &TransitionSystem, trace: Box<Trace>, engine: &str) -> E
             engine: engine.to_string(),
         })
     }
+}
+
+/// Certificate material for a proof on `ts`, citing the Houdini
+/// survivors the system assumed.
+fn certificate(ts: &TransitionSystem, kind: CertKind) -> Box<Certificate> {
+    Box::new(Certificate {
+        restored: Vec::new(),
+        survivors: ts.survivors().to_vec(),
+        kind,
+    })
 }
 
 /// Bounded model checking — the attack-finding lane (the paper's `Ht`).
@@ -214,6 +268,7 @@ pub struct BmcBackend {
     pub schedule: Vec<usize>,
     warm: bool,
     stats: Mutex<Option<LaneSolverStats>>,
+    replay_failed: Mutex<bool>,
 }
 
 impl BmcBackend {
@@ -224,6 +279,7 @@ impl BmcBackend {
             schedule: Vec::new(),
             warm: false,
             stats: Mutex::new(None),
+            replay_failed: Mutex::new(false),
         }
     }
 
@@ -247,9 +303,6 @@ impl BmcBackend {
     ) -> EngineOutcome {
         if self.schedule.is_empty() {
             return match session.run_to(self.depth, budget, ctx) {
-                // The sequential pipeline reports a BMC cex as an attack even
-                // if the replay check fails (with a warning note); mirror that
-                // here so the two modes cannot diverge on verdict kind.
                 BmcResult::Cex(trace) => EngineOutcome::Attack(trace),
                 BmcResult::Clean { depth_checked } => {
                     EngineOutcome::Inconclusive(InconclusiveReason::BoundedClean {
@@ -314,34 +367,39 @@ impl Backend for BmcBackend {
         budget: Budget,
         ctx: &mut SharedContext,
     ) -> EngineOutcome {
-        let pool = WarmPool::global();
-        let (mut session, hits, misses) = warm_or_build(
-            self.warm,
-            || pool.checkout_bmc(ts.fingerprint()),
-            || BmcSession::new(ts),
-        );
-        let snapshot = session.solver_stats();
-        let outcome = self.drive(&mut session, budget, ctx);
-        let mut stats = LaneSolverStats::delta(Lane::Bmc, snapshot, session.solver_stats());
-        stats.warm_hits = hits;
-        stats.warm_misses = misses;
+        let (outcome, stats) = with_bmc_session(ts, self.warm, |s| self.drive(s, budget, ctx));
         *self.stats.lock().unwrap() = Some(stats);
-        if self.warm && !outcome.is_decisive() {
-            pool.park_bmc(session);
-        }
+        // A BMC counterexample is reported even if its replay fails (the
+        // warning note flags it): the unrolling is exact, so a failing
+        // replay points at the simulator, not at the attack.
+        *self.replay_failed.lock().unwrap() = match &outcome {
+            EngineOutcome::Attack(trace) => {
+                let (assumes_ok, bad) = Sim::new(ts.plain().aig()).replay(trace);
+                !(assumes_ok && bad)
+            }
+            _ => false,
+        };
         outcome
     }
 
-    fn solver_stats(&self) -> Option<LaneSolverStats> {
-        *self.stats.lock().unwrap()
+    fn solver_stats(&self) -> Vec<LaneSolverStats> {
+        self.stats.lock().unwrap().iter().copied().collect()
+    }
+
+    fn notes(&self) -> Vec<String> {
+        if *self.replay_failed.lock().unwrap() {
+            vec!["WARNING: counterexample failed simulation replay".into()]
+        } else {
+            Vec::new()
+        }
     }
 }
 
-/// k-induction on the plain (lemma-free) netlist; with the bus on it
-/// imports shared clauses into its base instance and lemmas into both.
-/// With [`KindBackend::warm`] the base/step [`KindSession`] pair is
-/// parked in the global [`WarmPool`] on an `Unknown` outcome and a later
-/// call on the same netlist resumes the sweep at its old `next_k`.
+/// k-induction; with the bus on it imports shared clauses into its base
+/// instance and lemmas into both. With [`KindBackend::warm`] the
+/// base/step [`KindSession`] pair is parked in the global [`WarmPool`]
+/// on an `Unknown` outcome and a later call on the same netlist resumes
+/// the sweep at its old `next_k`.
 pub struct KindBackend {
     pub max_k: usize,
     warm: bool,
@@ -402,16 +460,12 @@ impl Backend for KindBackend {
             pool.park_kind(session);
         }
         match result {
-            KindResult::Proof { k } => {
-                let cert = (imported == 0).then(|| {
-                    Box::new(Certificate {
-                        restored: Vec::new(),
-                        survivors: Vec::new(),
-                        kind: CertKind::KInduction { k },
-                    })
-                });
-                EngineOutcome::Proof(ProofEngine::KInduction { k }, cert)
-            }
+            KindResult::Proof { k } => EngineOutcome::Proof(
+                ProofEngine::KInduction { k },
+                (imported == 0).then(|| certificate(ts, CertKind::KInduction { k })),
+            ),
+            // Deeper than the BMC bound: a real attack, once it replays on
+            // the unstrengthened system. A failing replay is no verdict.
             KindResult::Cex(trace) => validated_attack(ts, trace, "k-induction"),
             KindResult::Unknown { max_k_tried } => {
                 EngineOutcome::Inconclusive(InconclusiveReason::InductionGap { max_k: max_k_tried })
@@ -420,21 +474,24 @@ impl Backend for KindBackend {
         }
     }
 
-    fn solver_stats(&self) -> Option<LaneSolverStats> {
-        *self.stats.lock().unwrap()
+    fn solver_stats(&self) -> Vec<LaneSolverStats> {
+        self.stats.lock().unwrap().iter().copied().collect()
     }
 }
 
-/// IC3/PDR on the plain netlist; a cex depth hint is reconstructed into a
-/// concrete trace with a deeper BMC pass, as in the sequential pipeline.
-/// With the bus on it imports lemmas between frontier iterations. PDR's
-/// frame clauses are level-indexed and rebuilt per call, so this lane
-/// has no warm mode — only stats reporting.
+/// IC3/PDR. A cex depth hint is rebuilt into a concrete trace by a deeper
+/// BMC pass on the unstrengthened system; with [`PdrBackend::warm`] that
+/// pass resumes a parked BMC session (typically the BMC lane's, clean to
+/// its bound) instead of re-unrolling from frame 0. With the bus on the
+/// lane imports lemmas between frontier iterations. PDR's own frame
+/// clauses are level-indexed and rebuilt per call, so they are never
+/// parked.
 pub struct PdrBackend {
     pub max_frames: usize,
     /// Reconstruction floor: the BMC pass hunts at least this deep.
     pub bmc_depth: usize,
-    stats: Mutex<Option<LaneSolverStats>>,
+    warm: bool,
+    stats: Mutex<Vec<LaneSolverStats>>,
 }
 
 impl PdrBackend {
@@ -442,8 +499,15 @@ impl PdrBackend {
         PdrBackend {
             max_frames,
             bmc_depth,
-            stats: Mutex::new(None),
+            warm: false,
+            stats: Mutex::new(Vec::new()),
         }
+    }
+
+    /// Enables warm sessions for the counterexample rebuild.
+    pub fn warm(mut self, warm: bool) -> PdrBackend {
+        self.warm = warm;
+        self
     }
 }
 
@@ -470,103 +534,94 @@ impl Backend for PdrBackend {
             },
             ctx,
         );
-        *self.stats.lock().unwrap() = Some(LaneSolverStats::cold(Lane::Pdr, raw));
-        match result {
+        let mut stats = vec![LaneSolverStats::cold(Lane::Pdr, raw)];
+        let outcome = match result {
             PdrResult::Proof {
                 frames,
                 invariant_clauses,
                 fixpoint_level,
                 invariant,
-            } => {
+            } => EngineOutcome::Proof(
+                ProofEngine::Pdr {
+                    frames,
+                    clauses: invariant_clauses,
+                    fixpoint_level,
+                },
                 // The invariant is inductive relative to whatever the
                 // lane imported; only an import-free run is
                 // self-contained certificate material.
-                let cert = (ctx.imports() == 0).then(|| {
-                    Box::new(Certificate {
-                        restored: Vec::new(),
-                        survivors: Vec::new(),
-                        kind: CertKind::Inductive { blocked: invariant },
-                    })
-                });
-                EngineOutcome::Proof(
-                    ProofEngine::Pdr {
-                        frames,
-                        clauses: invariant_clauses,
-                        fixpoint_level,
-                    },
-                    cert,
-                )
-            }
+                (ctx.imports() == 0)
+                    .then(|| certificate(ts, CertKind::Inductive { blocked: invariant })),
+            ),
             PdrResult::Cex { depth_hint } => {
                 let deep = depth_hint.max(self.bmc_depth + 1) + 8;
-                match bmc(ts, deep, budget) {
-                    BmcResult::Cex(trace) => validated_attack(ts, trace, "pdr"),
-                    // Sequential maps an unreconstructed PDR cex to Timeout;
-                    // keep the portfolio lane on the same mapping.
-                    _ => EngineOutcome::Timeout,
+                let plain = ts.plain();
+                let (rebuilt, bmc_stats) = with_bmc_session(plain, self.warm, |s| {
+                    match s.run_to(deep, budget, &mut SharedContext::disabled(Lane::Bmc)) {
+                        BmcResult::Cex(trace) => EngineOutcome::Attack(trace),
+                        // A PDR cex BMC cannot rebuild in the budget is a
+                        // timeout, not a verdict.
+                        _ => EngineOutcome::Timeout,
+                    }
+                });
+                stats.push(bmc_stats);
+                match rebuilt {
+                    EngineOutcome::Attack(trace) => validated_attack(plain, trace, "pdr"),
+                    other => other,
                 }
             }
             PdrResult::Timeout => EngineOutcome::Timeout,
             PdrResult::FrameLimit { frames } => {
                 EngineOutcome::Inconclusive(InconclusiveReason::FrameCap { frames })
             }
-        }
+        };
+        *self.stats.lock().unwrap() = stats;
+        outcome
     }
 
-    fn solver_stats(&self) -> Option<LaneSolverStats> {
-        *self.stats.lock().unwrap()
+    fn solver_stats(&self) -> Vec<LaneSolverStats> {
+        self.stats.lock().unwrap().clone()
     }
 }
 
 /// The Houdini lane: filter candidate relational invariants to an
 /// inductive subset. Survivors stream onto the exchange bus the moment
 /// the consecution fixpoint lands. If they imply safety outright that is
-/// a proof (LEAVE's success mode); otherwise they are conjoined onto the
-/// netlist as assumptions and both proof engines re-run on the
-/// strengthened instance — insurance for racing proof lanes that ended
-/// before the lemmas reached the bus.
+/// a proof (LEAVE's success mode); otherwise the lane leaves the
+/// strengthened system (survivors conjoined as assumes) behind for the
+/// lanes after it — and, when built with [`HoudiniBackend::then`], runs
+/// those lanes itself, through [`serial`], on the strengthened system.
 pub struct HoudiniBackend {
     pub candidates: Vec<Candidate>,
-    /// The lemma-free netlist the strengthened instance is rebuilt from.
-    pub base_aig: Aig,
-    pub keep_probes: bool,
-    /// `max_k` for the strengthened k-induction pass (0 = skip).
-    pub kind_max_k: usize,
-    /// Frame cap for the strengthened PDR pass (0 = skip).
-    pub pdr_max_frames: usize,
-    /// Reconstruction floor for strengthened-PDR counterexamples.
-    pub bmc_depth: usize,
-    warm: bool,
-    stats: Mutex<Option<LaneSolverStats>>,
+    /// Lanes re-run on the strengthened system (portfolio mode, where the
+    /// plain proof lanes race this one on the unstrengthened system).
+    then: Vec<LaneSpec>,
+    last: Mutex<HoudiniRun>,
+}
+
+/// What the Houdini lane's last `run` left behind.
+#[derive(Default)]
+struct HoudiniRun {
+    note: Option<String>,
+    strengthened: Option<Arc<TransitionSystem>>,
+    /// The re-runs' solver activity (the Houdini filtering phase itself
+    /// keeps its solvers private).
+    stats: Option<LaneSolverStats>,
 }
 
 impl HoudiniBackend {
-    pub fn new(
-        candidates: Vec<Candidate>,
-        base_aig: Aig,
-        keep_probes: bool,
-        kind_max_k: usize,
-        pdr_max_frames: usize,
-        bmc_depth: usize,
-    ) -> HoudiniBackend {
+    pub fn new(candidates: Vec<Candidate>) -> HoudiniBackend {
         HoudiniBackend {
             candidates,
-            base_aig,
-            keep_probes,
-            kind_max_k,
-            pdr_max_frames,
-            bmc_depth,
-            warm: false,
-            stats: Mutex::new(None),
+            then: Vec::new(),
+            last: Mutex::new(HoudiniRun::default()),
         }
     }
 
-    /// Enables warm sessions for the strengthened re-run passes. The
-    /// strengthened netlist carries extra assumes and therefore its own
-    /// fingerprint, so those sessions never contaminate (or hit) the
-    /// plain-netlist lanes' pool entries.
-    pub fn warm(mut self, warm: bool) -> HoudiniBackend {
-        self.warm = warm;
+    /// Sets the lanes this one re-runs on the strengthened system
+    /// (builder style). Their solver activity is reported as this lane's.
+    pub fn then(mut self, lanes: Vec<LaneSpec>) -> HoudiniBackend {
+        self.then = lanes;
         self
     }
 
@@ -575,7 +630,7 @@ impl HoudiniBackend {
         ts: &Arc<TransitionSystem>,
         budget: Budget,
         ctx: &mut SharedContext,
-        agg: &mut LaneSolverStats,
+        last: &mut HoudiniRun,
     ) -> EngineOutcome {
         let mut stream = |_: usize, c: &Candidate| {
             ctx.publish_lemma(c.name.clone(), c.bit);
@@ -584,96 +639,53 @@ impl HoudiniBackend {
             HoudiniResult::Done(out) => out,
             HoudiniResult::Timeout => return EngineOutcome::Timeout,
         };
-        if out.proves_safety {
-            let cert = Box::new(Certificate {
-                restored: Vec::new(),
-                survivors: out.survivors.clone(),
-                kind: CertKind::Inductive {
-                    blocked: Vec::new(),
-                },
-            });
-            return EngineOutcome::Proof(
-                ProofEngine::Houdini {
-                    invariants: out.survivors.len(),
-                },
-                Some(cert),
-            );
-        }
-        if out.survivors.is_empty() {
-            return EngineOutcome::Inconclusive(InconclusiveReason::NoInvariants);
-        }
-        // Strengthen: surviving invariants are inductive, so conjoining
-        // them as assumptions is sound.
-        let mut strengthened = self.base_aig.clone();
-        for &i in &out.survivors {
-            strengthened.add_assume(self.candidates[i].bit);
-        }
-        let sts = TransitionSystem::shared(strengthened, self.keep_probes);
-        let mut notes = vec![format!(
+        last.note = Some(format!(
             "houdini: {}/{} candidates survive after {} rounds",
             out.survivors.len(),
             self.candidates.len(),
             out.rounds
-        )];
+        ));
+        let survivors = out.survivors.len();
+        if out.proves_safety {
+            let cert = Box::new(Certificate {
+                restored: Vec::new(),
+                survivors: out.survivors,
+                kind: CertKind::Inductive {
+                    blocked: Vec::new(),
+                },
+            });
+            let engine = ProofEngine::Houdini {
+                invariants: survivors,
+            };
+            return EngineOutcome::Proof(engine, Some(cert));
+        }
+        if survivors == 0 {
+            return EngineOutcome::Inconclusive(InconclusiveReason::NoInvariants);
+        }
+        let lemmas: Vec<_> = out
+            .survivors
+            .iter()
+            .map(|&i| self.candidates[i].bit)
+            .collect();
+        let strengthened = ts.strengthened(out.survivors, lemmas);
+        last.strengthened = Some(strengthened.clone());
+        if self.then.is_empty() {
+            return EngineOutcome::Inconclusive(InconclusiveReason::InvariantsInsufficient {
+                survivors,
+            });
+        }
         // The re-runs work a private instance already carrying the
         // lemmas; they neither import nor re-export them.
-        let mut quiet = SharedContext::disabled(Lane::Houdini);
-        if self.kind_max_k > 0 {
-            let kind = KindBackend::new(self.kind_max_k).warm(self.warm);
-            let r = kind.run(&sts, budget.clone(), &mut quiet);
-            if let Some(s) = kind.solver_stats() {
-                agg.absorb(&s);
-            }
-            match r {
-                // A cex from the strengthened instance was already replayed
-                // on the *strengthened* netlist; re-validate on the original
-                // before trusting it (the lemmas could mask init states). A
-                // replay failure is not a verdict — fall through to the
-                // strengthened PDR pass, like the sequential pipeline does.
-                EngineOutcome::Attack(trace) => {
-                    match validated_attack(ts, trace, "houdini+k-induction") {
-                        EngineOutcome::Inconclusive(n) => notes.push(n.to_string()),
-                        decisive => return decisive,
-                    }
-                }
-                EngineOutcome::Proof(p, cert) => {
-                    // The sub-proof holds on the strengthened instance;
-                    // fold the survivors in so the certificate stands on
-                    // the plain netlist too.
-                    return EngineOutcome::Proof(
-                        p,
-                        cert.map(|mut c| {
-                            c.survivors = out.survivors.clone();
-                            c
-                        }),
-                    );
-                }
-                EngineOutcome::Inconclusive(n) => notes.push(n.to_string()),
-                EngineOutcome::Timeout => return EngineOutcome::Timeout,
+        let results = serial(&self.then, &strengthened, &budget);
+        if let Some(agg) = &mut last.stats {
+            for s in results.iter().flat_map(|r| &r.solver) {
+                agg.absorb(s);
             }
         }
-        if self.pdr_max_frames > 0 {
-            let pdr = PdrBackend::new(self.pdr_max_frames, self.bmc_depth);
-            let r = pdr.run(&sts, budget, &mut quiet);
-            if let Some(s) = pdr.solver_stats() {
-                agg.absorb(&s);
-            }
-            match r {
-                EngineOutcome::Attack(trace) => return validated_attack(ts, trace, "houdini+pdr"),
-                EngineOutcome::Proof(p, cert) => {
-                    return EngineOutcome::Proof(
-                        p,
-                        cert.map(|mut c| {
-                            c.survivors = out.survivors.clone();
-                            c
-                        }),
-                    );
-                }
-                EngineOutcome::Inconclusive(n) => notes.push(n.to_string()),
-                EngineOutcome::Timeout => return EngineOutcome::Timeout,
-            }
-        }
-        EngineOutcome::Inconclusive(InconclusiveReason::Other(notes.join("; ")))
+        results
+            .into_iter()
+            .last()
+            .map_or(EngineOutcome::Timeout, |r| r.outcome)
     }
 }
 
@@ -692,27 +704,34 @@ impl Backend for HoudiniBackend {
         budget: Budget,
         ctx: &mut SharedContext,
     ) -> EngineOutcome {
-        // The lane's stats aggregate its strengthened sub-runs (the
-        // Houdini filtering phase itself keeps its solvers private).
-        let mut agg = LaneSolverStats::delta(
-            Lane::Houdini,
-            csl_sat::SolverStats::default(),
-            csl_sat::SolverStats::default(),
-        );
-        let outcome = self.run_inner(ts, budget, ctx, &mut agg);
-        agg.lane = Lane::Houdini;
-        *self.stats.lock().unwrap() = Some(agg);
+        let mut last = HoudiniRun {
+            // With re-runs configured the lane reports their activity on
+            // every run (zero when they never started).
+            stats: (!self.then.is_empty())
+                .then(|| LaneSolverStats::cold(Lane::Houdini, csl_sat::SolverStats::default())),
+            ..HoudiniRun::default()
+        };
+        let outcome = self.run_inner(ts, budget, ctx, &mut last);
+        *self.last.lock().unwrap() = last;
         outcome
     }
 
-    fn solver_stats(&self) -> Option<LaneSolverStats> {
-        *self.stats.lock().unwrap()
+    fn solver_stats(&self) -> Vec<LaneSolverStats> {
+        self.last.lock().unwrap().stats.iter().copied().collect()
+    }
+
+    fn notes(&self) -> Vec<String> {
+        self.last.lock().unwrap().note.iter().cloned().collect()
+    }
+
+    fn strengthened(&self) -> Option<Arc<TransitionSystem>> {
+        self.last.lock().unwrap().strengthened.clone()
     }
 }
 
-/// One configured lane of a race: the backend, its deadline (per-lane
-/// wall caps from a [`crate::LanePlan`] arrive here as earlier
-/// deadlines), and its exchange participation.
+/// One configured lane: the backend, its deadline (per-lane wall caps
+/// from a [`crate::LanePlan`] arrive here as earlier deadlines), and its
+/// exchange participation.
 pub struct LaneSpec {
     pub backend: Box<dyn Backend>,
     pub deadline: Instant,
@@ -739,18 +758,52 @@ impl LaneSpec {
         self.export = export;
         self
     }
+
+    /// Runs the lane on `ts` under `budget` with the lane's deadline, and
+    /// collects its result.
+    fn run(
+        &self,
+        ts: &Arc<TransitionSystem>,
+        budget: &Budget,
+        ctx: &mut SharedContext,
+    ) -> LaneResult {
+        let start = Instant::now();
+        let budget = Budget {
+            deadline: Some(self.deadline),
+            ..budget.clone()
+        };
+        let outcome = self.backend.run(ts, budget, ctx);
+        let xs = ctx.stats();
+        LaneResult {
+            engine: self.backend.name(),
+            lane: self.backend.lane(),
+            outcome,
+            elapsed: start.elapsed(),
+            deadline: self.deadline,
+            imports: xs.imports,
+            exports: xs.exports,
+            obligations: xs.obligations,
+            policy_len: xs.policy_len,
+            policy_lbd: xs.policy_lbd,
+            adaptive: xs.adaptive,
+            fuzz: self.backend.fuzz_stats(),
+            coverage: self.backend.coverage_stats(),
+            solver: self.backend.solver_stats(),
+            notes: self.backend.notes(),
+        }
+    }
 }
 
-/// The result of one lane, in arrival order.
+/// The result of one lane, in completion order.
 #[derive(Debug)]
 pub struct LaneResult {
     pub engine: &'static str,
     pub lane: Lane,
     pub outcome: EngineOutcome,
     pub elapsed: Duration,
-    /// The deadline this lane ran under — earlier than the race's shared
+    /// The deadline this lane ran under — earlier than the shared
     /// deadline exactly when a per-lane wall cap shortened it, which is
-    /// how the merge tells a lane-local timeout from a global one.
+    /// how a lane-local timeout is told from a global one.
     pub deadline: Instant,
     /// Exchange-bus items this lane applied to its solvers.
     pub imports: usize,
@@ -769,9 +822,33 @@ pub struct LaneResult {
     /// Coverage accounting, when this lane was a coverage-guided fuzzing
     /// backend.
     pub coverage: Option<CoverageStats>,
-    /// Solver activity (and warm-start accounting), when this lane was
-    /// a SAT backend.
-    pub solver: Option<LaneSolverStats>,
+    /// Solver activity (and warm-start accounting) of the SAT engines
+    /// the lane drove.
+    pub solver: Vec<LaneSolverStats>,
+    /// Lines the lane adds to the report's notes.
+    pub notes: Vec<String>,
+}
+
+impl LaneResult {
+    /// Whether the lane ran on the shared clock (ending at `deadline`)
+    /// rather than on an earlier wall cap of its own — a timeout of such
+    /// a lane is a timeout of the whole check.
+    pub fn on_shared_clock(&self, deadline: Option<Instant>) -> bool {
+        deadline.is_some_and(|d| self.deadline >= d)
+    }
+
+    /// This lane's exchange-bus traffic.
+    pub fn exchange_stats(&self) -> ExchangeStats {
+        ExchangeStats {
+            lane: self.lane,
+            imports: self.imports,
+            exports: self.exports,
+            obligations: self.obligations,
+            policy_len: self.policy_len,
+            policy_lbd: self.policy_lbd,
+            adaptive: self.adaptive,
+        }
+    }
 }
 
 /// Everything the race produced: per-lane results (in completion order)
@@ -782,22 +859,33 @@ pub struct RaceReport {
     pub canceled_stragglers: bool,
 }
 
-impl RaceReport {
-    /// Per-lane exchange traffic, in completion order.
-    pub fn exchange_stats(&self) -> Vec<ExchangeStats> {
-        self.lanes
-            .iter()
-            .map(|l| ExchangeStats {
-                lane: l.lane,
-                imports: l.imports,
-                exports: l.exports,
-                obligations: l.obligations,
-                policy_len: l.policy_len,
-                policy_lbd: l.policy_lbd,
-                adaptive: l.adaptive,
-            })
-            .collect()
+/// Runs `lanes` one at a time on `ts`, in order, each under `budget`
+/// with its lane deadline, until one is decisive or one times out on the
+/// shared clock (`budget`'s deadline) rather than on its own wall cap.
+/// A lane that leaves a strengthened system behind hands it to the lanes
+/// after it. No exchange bus: every context is inert.
+pub fn serial(lanes: &[LaneSpec], ts: &Arc<TransitionSystem>, budget: &Budget) -> Vec<LaneResult> {
+    let mut ts = ts.clone();
+    let mut results = Vec::with_capacity(lanes.len());
+    for spec in lanes {
+        let result = spec.run(
+            &ts,
+            budget,
+            &mut SharedContext::disabled(spec.backend.lane()),
+        );
+        if let Some(strengthened) = spec.backend.strengthened() {
+            ts = strengthened;
+        }
+        let stop = match result.outcome {
+            EngineOutcome::Timeout => result.on_shared_clock(budget.deadline),
+            ref outcome => outcome.is_decisive(),
+        };
+        results.push(result);
+        if stop {
+            break;
+        }
     }
+    results
 }
 
 /// Races `lanes` against each other, one thread per backend, until the
@@ -831,28 +919,10 @@ pub fn race(
             None => SharedContext::disabled(lane),
         };
         handles.push(std::thread::spawn(move || {
-            let start = Instant::now();
             let ts = TransitionSystem::shared(aig, keep_probes);
-            let budget = Budget::until(spec.deadline).with_stop(stop);
-            let outcome = spec.backend.run(&ts, budget, &mut ctx);
-            let xs = ctx.stats();
+            let result = spec.run(&ts, &Budget::unlimited().with_stop(stop), &mut ctx);
             // The receiver may be gone if the race was already decided.
-            let _ = tx.send(LaneResult {
-                engine: spec.backend.name(),
-                lane,
-                outcome,
-                elapsed: start.elapsed(),
-                deadline: spec.deadline,
-                imports: xs.imports,
-                exports: xs.exports,
-                obligations: xs.obligations,
-                policy_len: xs.policy_len,
-                policy_lbd: xs.policy_lbd,
-                adaptive: xs.adaptive,
-                fuzz: spec.backend.fuzz_stats(),
-                coverage: spec.backend.coverage_stats(),
-                solver: spec.backend.solver_stats(),
-            });
+            let _ = tx.send(result);
         }));
     }
     drop(tx);
@@ -1102,7 +1172,11 @@ mod tests {
             false,
             &ExchangeConfig::on(),
         );
-        let stats = report.exchange_stats();
+        let stats: Vec<_> = report
+            .lanes
+            .iter()
+            .map(LaneResult::exchange_stats)
+            .collect();
         let publisher = stats.iter().find(|s| s.lane == Lane::Houdini).unwrap();
         let consumer = stats.iter().find(|s| s.lane == Lane::KInduction).unwrap();
         assert_eq!(publisher.exports, 1);

@@ -14,9 +14,16 @@ use csl_hdl::{Aig, Bit, CoiMarks, Init, Node};
 /// A netlist plus cone-of-influence bookkeeping.
 pub struct TransitionSystem {
     aig: Aig,
+    keep_probes: bool,
     coi: CoiMarks,
     active_latches: Vec<u32>,
     active_inputs: Vec<u32>,
+    /// The unstrengthened system this one was derived from by
+    /// [`TransitionSystem::strengthened`] (`None` for a plain system).
+    plain: Option<Arc<TransitionSystem>>,
+    /// Houdini survivors conjoined as assumes, as indices into the
+    /// check's candidate list (empty for a plain system).
+    survivors: Vec<usize>,
 }
 
 impl TransitionSystem {
@@ -44,9 +51,12 @@ impl TransitionSystem {
         }
         TransitionSystem {
             aig,
+            keep_probes,
             coi,
             active_latches,
             active_inputs,
+            plain: None,
+            survivors: Vec::new(),
         }
     }
 
@@ -56,6 +66,38 @@ impl TransitionSystem {
     /// borrowed.
     pub fn shared(aig: Aig, keep_probes: bool) -> Arc<TransitionSystem> {
         Arc::new(TransitionSystem::new(aig, keep_probes))
+    }
+
+    /// This system with Houdini's surviving candidates conjoined as
+    /// assumes — sound, because the survivors are inductive invariants.
+    /// `survivors` indexes the check's candidate list and `lemmas` holds
+    /// the matching candidate bits, in the same order. Proofs on the
+    /// result cite the survivors in their certificates; counterexamples
+    /// are replayed on [`TransitionSystem::plain`].
+    pub fn strengthened(
+        self: &Arc<Self>,
+        survivors: Vec<usize>,
+        lemmas: impl IntoIterator<Item = Bit>,
+    ) -> Arc<TransitionSystem> {
+        let mut aig = self.aig.clone();
+        for bit in lemmas {
+            aig.add_assume(bit);
+        }
+        let mut ts = TransitionSystem::new(aig, self.keep_probes);
+        ts.plain = Some(self.plain().clone());
+        ts.survivors = survivors;
+        Arc::new(ts)
+    }
+
+    /// The unstrengthened system (`self` unless built by
+    /// [`TransitionSystem::strengthened`]).
+    pub fn plain(self: &Arc<Self>) -> &Arc<TransitionSystem> {
+        self.plain.as_ref().unwrap_or(self)
+    }
+
+    /// The Houdini survivors this system assumes (empty when plain).
+    pub fn survivors(&self) -> &[usize] {
+        &self.survivors
     }
 
     /// A structural fingerprint of the netlist: two systems with the same

@@ -261,8 +261,9 @@ impl LaneSolverStats {
         LaneSolverStats::delta(lane, SolverStats::default(), end)
     }
 
-    /// Folds another lane-run's counters into this one (sequential mode
-    /// runs several engines under one report entry per lane).
+    /// Folds another lane-run's counters into this one (a report keeps
+    /// one entry per lane, and a lane can run several times — the PDR
+    /// lane's counterexample rebuild is BMC work).
     pub fn absorb(&mut self, other: &LaneSolverStats) {
         self.propagations += other.propagations;
         self.conflicts += other.conflicts;
